@@ -65,16 +65,26 @@ pub const CREDENTIAL_STORES: &[&str] = &[
     "/ip.log",
 ];
 
-/// Classify an observed request path into the probe taxonomy.
+/// Classify an observed request path into the probe taxonomy. The
+/// query string is ignored and matching is ASCII-case-insensitive.
+/// Runs on every background request, so it compares slices in place
+/// rather than lower-casing a copy.
 pub fn classify_path(path: &str) -> ProbeKind {
-    let p = path.split('?').next().unwrap_or(path).to_ascii_lowercase();
-    if WEB_SHELLS.iter().any(|s| p == *s) {
+    let p = path.split('?').next().unwrap_or(path).as_bytes();
+    let ends_with = |suffix: &str| {
+        p.len() >= suffix.len()
+            && p[p.len() - suffix.len()..].eq_ignore_ascii_case(suffix.as_bytes())
+    };
+    if WEB_SHELLS
+        .iter()
+        .any(|s| p.eq_ignore_ascii_case(s.as_bytes()))
+    {
         return ProbeKind::WebShell;
     }
-    if p.ends_with(".zip") {
+    if ends_with(".zip") {
         return ProbeKind::KitArchive;
     }
-    if p.ends_with(".txt") || p.ends_with(".log") {
+    if ends_with(".txt") || ends_with(".log") {
         return ProbeKind::CredentialStore;
     }
     ProbeKind::Crawl
@@ -118,6 +128,82 @@ pub fn sample_path_with_archives(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The lower-casing classifier `classify_path` replaced, kept as
+    /// the reference it must agree with.
+    fn classify_path_lowercased(path: &str) -> ProbeKind {
+        let p = path.split('?').next().unwrap_or(path).to_ascii_lowercase();
+        if WEB_SHELLS.iter().any(|s| p == *s) {
+            return ProbeKind::WebShell;
+        }
+        if p.ends_with(".zip") {
+            return ProbeKind::KitArchive;
+        }
+        if p.ends_with(".txt") || p.ends_with(".log") {
+            return ProbeKind::CredentialStore;
+        }
+        ProbeKind::Crawl
+    }
+
+    /// Alternate the ASCII case of `s`, starting upper or lower.
+    fn mixed_case(s: &str, upper_first: bool) -> String {
+        s.chars()
+            .enumerate()
+            .map(|(i, c)| {
+                if (i % 2 == 0) == upper_first {
+                    c.to_ascii_uppercase()
+                } else {
+                    c.to_ascii_lowercase()
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn case_insensitive_classifier_matches_lowercasing_reference() {
+        let mut known: Vec<String> = WEB_SHELLS
+            .iter()
+            .chain(CREDENTIAL_STORES)
+            .map(|s| s.to_string())
+            .collect();
+        known.extend(kit_archives("Green-Energy.com"));
+        known.extend(["/", "/index.php", "/zip", ".zip", "/a.ZIP.txt"].map(String::from));
+        for base in &known {
+            for cased in [
+                base.clone(),
+                base.to_ascii_uppercase(),
+                mixed_case(base, true),
+                mixed_case(base, false),
+            ] {
+                for path in [
+                    cased.clone(),
+                    format!("{cased}?x=1"),
+                    format!("{cased}?q=/a.zip"),
+                ] {
+                    assert_eq!(
+                        classify_path(&path),
+                        classify_path_lowercased(&path),
+                        "{path}"
+                    );
+                }
+            }
+        }
+        assert_eq!(classify_path("/WSO.PHP?a=b"), ProbeKind::WebShell);
+        assert_eq!(classify_path("/Kit.Zip"), ProbeKind::KitArchive);
+        assert_eq!(classify_path("/Data.LOG"), ProbeKind::CredentialStore);
+    }
+
+    proptest! {
+        #[test]
+        fn classifier_agrees_with_reference_on_random_strings(
+            path in "[/a-zA-Z0-9.?=&éÄ]{0,16}(\\.(zip|ZIP|Txt|log|php))?(\\?[a-z.=]{0,6})?",
+            noise in ".{0,24}",
+        ) {
+            prop_assert_eq!(classify_path(&path), classify_path_lowercased(&path));
+            prop_assert_eq!(classify_path(&noise), classify_path_lowercased(&noise));
+        }
+    }
 
     #[test]
     fn classification_taxonomy() {

@@ -9,7 +9,7 @@
 
 use crate::message::{Request, Response};
 use crate::tls::TlsCertificate;
-use phishsim_simnet::{Ipv4Sim, ObsSink, SimTime, TraceEvent, TraceKind, TraceLog};
+use phishsim_simnet::{Ipv4Sim, ObsSink, SimTime, TraceEventRef, TraceKind, TraceLog};
 use std::collections::HashMap;
 
 /// Per-request context a handler sees (the server-side view).
@@ -120,6 +120,8 @@ pub struct HostingFarm {
     vhosts: VirtualHosting,
     certs: HashMap<String, TlsCertificate>,
     log: TraceLog,
+    /// Reused buffer for the logged request target (path + query).
+    target_buf: String,
     next_addr: usize,
     obs: ObsSink,
 }
@@ -133,6 +135,7 @@ impl HostingFarm {
             vhosts: VirtualHosting::new(),
             certs: HashMap::new(),
             log,
+            target_buf: String::new(),
             next_addr: 0,
             obs: ObsSink::Null,
         }
@@ -171,14 +174,16 @@ impl HostingFarm {
 
     /// Serve one request: append to the access log, then dispatch.
     pub fn serve(&mut self, req: &Request, ctx: &RequestCtx<'_>) -> Response {
-        self.log.record(TraceEvent {
+        self.target_buf.clear();
+        req.url.write_target(&mut self.target_buf);
+        self.log.record_ref(TraceEventRef {
             at: ctx.now,
             kind: TraceKind::HttpRequest,
             src: ctx.src,
-            host: req.url.host.clone(),
-            path: req.url.target(),
-            user_agent: req.user_agent().map(|s| s.to_string()),
-            actor: ctx.actor.to_string(),
+            host: &req.url.host,
+            path: &self.target_buf,
+            user_agent: req.user_agent(),
+            actor: ctx.actor,
         });
         let span = self
             .obs

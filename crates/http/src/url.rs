@@ -113,10 +113,21 @@ impl Url {
     /// Path plus serialized query string — what a server logs as the
     /// request target.
     pub fn target(&self) -> String {
-        if self.query.is_empty() {
-            self.path.clone()
-        } else {
-            format!("{}?{}", self.path, serialize_query(&self.query))
+        let mut out = String::new();
+        self.write_target(&mut out);
+        out
+    }
+
+    /// Append [`Url::target`] to `out`, so a caller can reuse one buffer.
+    pub fn write_target(&self, out: &mut String) {
+        out.push_str(&self.path);
+        for (i, (k, v)) in self.query.iter().enumerate() {
+            out.push(if i == 0 { '?' } else { '&' });
+            out.push_str(k);
+            if !v.is_empty() {
+                out.push('=');
+                out.push_str(v);
+            }
         }
     }
 
@@ -149,19 +160,6 @@ fn parse_query(q: &str) -> Vec<(String, String)> {
             None => (kv.to_string(), String::new()),
         })
         .collect()
-}
-
-fn serialize_query(q: &[(String, String)]) -> String {
-    q.iter()
-        .map(|(k, v)| {
-            if v.is_empty() {
-                k.clone()
-            } else {
-                format!("{k}={v}")
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("&")
 }
 
 impl fmt::Display for Url {

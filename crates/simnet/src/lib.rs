@@ -83,4 +83,4 @@ pub use retry::RetryPolicy;
 pub use rng::DetRng;
 pub use sched::{EventId, Scheduler};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceKind, TraceLog};
+pub use trace::{TraceEvent, TraceEventRef, TraceKind, TraceLog};

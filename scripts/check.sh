@@ -7,6 +7,7 @@
 #
 #   ./scripts/check.sh                # everything (pre-merge gate)
 #   ./scripts/check.sh --tier1        # fmt + workspace clippy + build + tests
+#                                     # (root package, then whole workspace)
 #   ./scripts/check.sh --determinism  # thread-count byte-identity smokes
 #   ./scripts/check.sh --perf         # quick perf baseline + scaling smoke
 #   ./scripts/check.sh --replay       # verify committed .runpack artifacts
@@ -65,6 +66,9 @@ tier1() {
   echo "==> tier-1: build + tests"
   cargo build --release
   cargo test -q --release
+
+  echo "==> workspace tests (every crate's unit, integration and property tests)"
+  cargo test --workspace --release
 }
 
 perf() {
