@@ -17,7 +17,7 @@ use phishsim_dns::Resolver;
 use phishsim_html::{Document, PageSummary};
 use phishsim_http::{decode_request, encode_request, Request, Url};
 use phishsim_phishgen::{Brand, FakeSiteGenerator};
-use phishsim_simnet::{DetRng, Scheduler, SimTime};
+use phishsim_simnet::{DetRng, Scheduler, SimDuration, SimTime};
 
 fn bench_http_codec(c: &mut Criterion) {
     let req = Request::post_form(
@@ -104,6 +104,51 @@ fn bench_scheduler(c: &mut Criterion) {
             let mut n = 0;
             while s.pop().is_some() {
                 n += 1;
+            }
+            n
+        })
+    });
+    // Retry-timer shape: near-term (0-60 s) events, a third of them
+    // cancelled before the drain, so tombstones are swept at the front.
+    g.bench_function("schedule_cancel_drain_10k", |b| {
+        b.iter(|| {
+            let mut s: Scheduler<u32> = Scheduler::new();
+            let ids: Vec<_> = (0..10_000u32)
+                .map(|i| {
+                    s.schedule_at(
+                        SimTime::from_millis(((i * 2_654_435_761) % 60_000) as u64),
+                        i,
+                    )
+                })
+                .collect();
+            for id in ids.iter().step_by(3) {
+                s.cancel(*id);
+            }
+            let mut n = 0;
+            while s.pop().is_some() {
+                n += 1;
+            }
+            n
+        })
+    });
+    // Fleet shape: a backlog of arrivals spread over 15 min, each
+    // followed by a completion 0-30 s after it pops, so most inserts
+    // land near the front of a large queue.
+    g.bench_function("backlog_near_term_10k", |b| {
+        b.iter(|| {
+            let mut s: Scheduler<u32> = Scheduler::new();
+            for i in 0..10_000u32 {
+                s.schedule_at(SimTime::from_millis((i as u64) * 90), i);
+            }
+            let mut n = 0u32;
+            while let Some((t, e)) = s.pop() {
+                n += 1;
+                if e < 10_000 {
+                    s.schedule_at(
+                        t + SimDuration::from_millis(((e * 2_654_435_761) % 30_000) as u64),
+                        e + 10_000,
+                    );
+                }
             }
             n
         })

@@ -15,10 +15,10 @@ use phishsim_antiphish::{classify, ClassifierMode};
 use phishsim_browser::{Browser, BrowserConfig, DialogPolicy};
 use phishsim_captcha::SolverProfile;
 use phishsim_core::deploy::deploy_armed_site;
-use phishsim_core::runner::run_sweep;
 use phishsim_core::World;
 use phishsim_dns::DomainName;
 use phishsim_phishgen::{Brand, EvasionTechnique};
+use phishsim_simnet::runner::run_sweep;
 use phishsim_simnet::{Ipv4Sim, SimDuration, SimTime};
 
 #[derive(Clone, Copy)]

@@ -30,8 +30,8 @@ use phishsim_bench::write_record;
 use phishsim_core::experiment::{
     run_main_experiment, run_preliminary, MainConfig, PreliminaryConfig,
 };
-use phishsim_core::runner::{run_sweep_profiled, run_sweep_with_threads, sweep_threads};
 use phishsim_feedserve::{PrefixDiff, PrefixStore};
+use phishsim_simnet::runner::{run_sweep_profiled, run_sweep_with_threads, sweep_threads};
 use phishsim_simnet::{FaultInjector, ObsSink};
 use std::time::Instant;
 

@@ -13,7 +13,7 @@
 //! ```
 
 use phishsim_core::experiment::{run_main_experiment, MainConfig};
-use phishsim_core::runner::run_sweep;
+use phishsim_simnet::runner::run_sweep;
 use phishsim_simnet::FaultInjector;
 
 fn main() {

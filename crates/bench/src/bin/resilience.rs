@@ -13,7 +13,7 @@
 
 use phishsim_bench::write_record;
 use phishsim_core::experiment::{run_resilience, ResilienceConfig};
-use phishsim_core::runner::sweep_threads;
+use phishsim_simnet::runner::sweep_threads;
 use std::time::Instant;
 
 fn main() {

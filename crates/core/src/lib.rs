@@ -31,11 +31,10 @@ pub mod deploy;
 pub mod domains;
 pub mod experiment;
 pub mod monitor;
-pub mod runner;
 pub mod tables;
 pub mod world;
 
 pub use deploy::{deploy_armed_site, Deployment};
 pub use domains::{acquire_domains, AcquisitionConfig, AcquisitionResult, Funnel};
-pub use runner::{run_sweep, run_sweep_with_threads, sweep_threads};
+pub use phishsim_simnet::runner::{run_sweep, run_sweep_with_threads, sweep_threads};
 pub use world::{World, DEFAULT_SEED};

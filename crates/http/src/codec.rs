@@ -95,13 +95,19 @@ fn parse_headers(lines: &[String]) -> Result<Headers, CodecError> {
     Ok(headers)
 }
 
-fn body_len(headers: &Headers) -> Result<usize, CodecError> {
-    match headers.get("content-length") {
-        None => Ok(0),
+/// Offset one past the body: `body_start` plus the declared
+/// `Content-Length`. A length the buffer could never hold is malformed,
+/// not an overflow.
+fn body_end(headers: &Headers, body_start: usize) -> Result<usize, CodecError> {
+    let len: usize = match headers.get("content-length") {
+        None => 0,
         Some(v) => v
             .parse()
-            .map_err(|_| CodecError::Malformed(format!("bad content-length: {v:?}"))),
-    }
+            .map_err(|_| CodecError::Malformed(format!("bad content-length: {v:?}")))?,
+    };
+    body_start
+        .checked_add(len)
+        .ok_or_else(|| CodecError::Malformed(format!("content-length too large: {len}")))
 }
 
 /// Decode one request from the front of `buf`, consuming its bytes.
@@ -132,11 +138,11 @@ pub fn decode_request(buf: &mut BytesMut) -> Result<Request, CodecError> {
         .get("host")
         .ok_or_else(|| CodecError::Malformed("missing Host header".into()))?
         .to_string();
-    let len = body_len(&headers)?;
-    if buf.len() < body_start + len {
+    let end = body_end(&headers, body_start)?;
+    if buf.len() < end {
         return Err(CodecError::Incomplete);
     }
-    let body = std::str::from_utf8(&buf[body_start..body_start + len])
+    let body = std::str::from_utf8(&buf[body_start..end])
         .map_err(|_| CodecError::Malformed("non-UTF-8 body".into()))?
         .to_string();
     // Requests on the wire do not say http vs https; the simulation
@@ -150,7 +156,7 @@ pub fn decode_request(buf: &mut BytesMut) -> Result<Request, CodecError> {
         }
         headers_out.append(n, v);
     }
-    buf.advance(body_start + len);
+    buf.advance(end);
     Ok(Request {
         method,
         url,
@@ -181,11 +187,11 @@ pub fn decode_response(buf: &mut BytesMut) -> Result<Response, CodecError> {
     let status = Status::from_code(code)
         .ok_or_else(|| CodecError::Malformed(format!("unknown status {code}")))?;
     let headers = parse_headers(&lines[1..])?;
-    let len = body_len(&headers)?;
-    if buf.len() < body_start + len {
+    let end = body_end(&headers, body_start)?;
+    if buf.len() < end {
         return Err(CodecError::Incomplete);
     }
-    let body = std::str::from_utf8(&buf[body_start..body_start + len])
+    let body = std::str::from_utf8(&buf[body_start..end])
         .map_err(|_| CodecError::Malformed("non-UTF-8 body".into()))?
         .to_string();
     let mut headers_out = Headers::new();
@@ -195,7 +201,7 @@ pub fn decode_response(buf: &mut BytesMut) -> Result<Response, CodecError> {
         }
         headers_out.append(n, v);
     }
-    buf.advance(body_start + len);
+    buf.advance(end);
     Ok(Response {
         status,
         headers: headers_out,
@@ -286,6 +292,27 @@ mod tests {
             Err(CodecError::Malformed(_))
         ));
         let mut buf = BytesMut::from(&b"HTTP/1.1 200 OK\r\nContent-Length: nope\r\n\r\n"[..]);
+        assert!(matches!(
+            decode_response(&mut buf),
+            Err(CodecError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn request_content_length_overflow_is_malformed() {
+        let mut buf = BytesMut::from(
+            &b"POST / HTTP/1.1\r\nHost: a.com\r\nContent-Length: 18446744073709551615\r\n\r\n"[..],
+        );
+        assert!(matches!(
+            decode_request(&mut buf),
+            Err(CodecError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn response_content_length_overflow_is_malformed() {
+        let mut buf =
+            BytesMut::from(&b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n"[..]);
         assert!(matches!(
             decode_response(&mut buf),
             Err(CodecError::Malformed(_))

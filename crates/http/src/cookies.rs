@@ -152,7 +152,10 @@ impl Cookie {
                 // expired, so the cookie is never sent.
                 now
             } else {
-                now + phishsim_simnet::SimDuration::from_secs(secs as u64)
+                // Saturate: a huge Max-Age means "practically never",
+                // not a wrapped-around instant in the past.
+                let ms = (secs as u64).saturating_mul(1000);
+                now.saturating_add(phishsim_simnet::SimDuration::from_millis(ms))
             }),
             (None, Some(t)) => Some(t),
             (None, None) => None,
@@ -273,6 +276,21 @@ mod tests {
         let c = Cookie::parse_set_cookie("s=1; Max-Age=60", "h.com", now).unwrap();
         assert!(c.matches("h.com", "/", now + SimDuration::from_secs(59)));
         assert!(!c.matches("h.com", "/", now + SimDuration::from_secs(60)));
+    }
+
+    #[test]
+    fn huge_max_age_saturates_instead_of_wrapping() {
+        let now = SimTime::from_mins(10);
+        for header in [
+            "s=1; Max-Age=18446744073709552",
+            "s=1; Max-Age=9223372036854775807",
+        ] {
+            let c = Cookie::parse_set_cookie(header, "h.com", now).unwrap();
+            assert!(
+                c.matches("h.com", "/", now + SimDuration::from_days(365)),
+                "{header} must still be live a year later"
+            );
+        }
     }
 
     #[test]

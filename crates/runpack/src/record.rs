@@ -25,6 +25,8 @@ use std::sync::Arc;
 /// never enter a pack, or re-verification at a different parallelism
 /// would fail spuriously.
 pub const IDENTITY_GATES: &[&str] = &[
+    // No code reads this gate any more; kept only so the committed packs
+    // verify until the runpack format VERSION 2 bump.
     "PHISHSIM_ARENA",
     "PHISHSIM_RENDER_CACHE",
     "PHISHSIM_SHARED_CACHE",

@@ -15,11 +15,8 @@
 //! * [`DetRng`] — a seedable, forkable random-number generator. Every
 //!   stochastic decision in the workspace flows from one root seed, so the
 //!   same seed regenerates byte-identical experiment tables.
-//! * [`Scheduler`] — a calendar/bucket event queue with stable FIFO
-//!   ordering for simultaneous events and a heap fallback for far-future
-//!   events.
-//! * [`arena`] — per-run bump arenas and per-worker reuse pools that keep
-//!   the sweep hot path out of the global allocator.
+//! * [`Scheduler`] — a binary-heap event queue with stable FIFO
+//!   ordering for simultaneous events and lazy cancellation.
 //! * [`Ipv4Sim`] / [`IpPool`] — simulated IPv4 addressing; anti-phishing
 //!   bots crawl from pools of distinct addresses (Table 1 reports unique
 //!   source IPs per engine).
@@ -53,7 +50,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod error;
 pub mod ip;
 pub mod link;
@@ -67,7 +63,6 @@ pub mod sched;
 pub mod time;
 pub mod trace;
 
-pub use arena::{arena_enabled, Bump, Pool, Span};
 pub use error::SimError;
 pub use ip::{IpPool, Ipv4Sim};
 pub use link::{

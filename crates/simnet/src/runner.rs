@@ -3,8 +3,8 @@
 //! Lives in the substrate crate so both the experiment framework
 //! (`phishsim-core`) and the blacklist-distribution subsystem
 //! (`phishsim-feedserve`) can fan work out through the same
-//! work-stealing pool; `phishsim_core::runner` re-exports it, so
-//! existing call sites are unaffected.
+//! work-stealing pool. `phishsim-core` re-exports [`run_sweep`],
+//! [`run_sweep_with_threads`] and [`sweep_threads`] at its crate root.
 //!
 //! Every experiment harness that evaluates many independent
 //! configurations (seed sweeps, fault sweeps, TTL sweeps, longitudinal

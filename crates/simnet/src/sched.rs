@@ -7,53 +7,16 @@
 //! report submissions, crawl visits, blacklist publications and feed
 //! polls are all events.
 //!
-//! # Calendar/bucket queue
-//!
-//! Internally the queue is a *calendar queue*: a ring of `BUCKETS`
-//! time buckets, each [`WIDTH_MS`] of simulated time wide, plus a
-//! binary-heap overflow for events beyond the ring's horizon. Inserts
-//! within the horizon are O(1) pushes into a bucket; pops walk the
-//! ring in time order and lazily sort the active bucket (cheap —
-//! buckets are small) with the same `(at, seq)` tie-break the old
-//! single `BinaryHeap` used, so pop order is bit-for-bit unchanged.
-//! Bucket vectors live in fixed ring slots and are reused as the
-//! window wraps, so a steady-state scheduler stops allocating: the
-//! per-event heap churn the old implementation paid is gone, which is
-//! what lets many sweep workers run without serializing inside the
-//! global allocator.
-//!
-//! Three structural moves keep the mapping `bucket = (t / WIDTH_MS) %
-//! BUCKETS` honest:
-//!
-//! * **migration** — when the window advances one bucket, overflow
-//!   events that now fall inside the horizon move into the ring;
-//! * **jump** — when the ring drains while the overflow still holds
-//!   events, the window re-anchors at the earliest overflow event
-//!   instead of stepping bucket-by-bucket across empty time;
-//! * **rebase** (rare) — if, after a jump, a caller legally schedules
-//!   an event *earlier* than the re-anchored window (but still `>=
-//!   now`), the ring is dumped into the overflow and re-anchored at
-//!   that event. Deterministic, counted in `sched.rebases`.
-//!
-//! Cancellation is lazy (tombstones swept at pop) with periodic
-//! compaction, exactly as before; `len()` tracks the alive set so the
-//! count never depends on tombstone placement.
+//! The queue is a single `BinaryHeap` ordered by `(at, seq)`.
+//! Cancellation is lazy: a cancelled ID becomes a tombstone that is
+//! swept when it reaches the front, and the heap is compacted once
+//! tombstones dominate it. `len()` tracks the alive set, so the count
+//! never depends on tombstone placement.
 
 use crate::obs::ObsSink;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-/// Width of one calendar bucket in simulated milliseconds. A power of
-/// two so the floor/index arithmetic stays shift-and-mask. One second
-/// of simulated time per bucket matches the dominant cadences (retry
-/// timers, crawl pacing) while keeping same-bucket sorts tiny.
-const WIDTH_MS: u64 = 1024;
-
-/// Number of buckets in the ring; the addressable window is
-/// `BUCKETS * WIDTH_MS` ≈ 65 s of simulated time. Events beyond it sit
-/// in the overflow heap until the window reaches them.
-const BUCKETS: usize = 64;
+use std::collections::{BinaryHeap, HashSet};
 
 /// Identifier of a scheduled event, usable for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -61,9 +24,15 @@ pub struct EventId(u64);
 
 struct Entry<E> {
     at: SimTime,
+    /// Insertion order; also the event's [`EventId`].
     seq: u64,
-    id: EventId,
     payload: E,
+}
+
+impl<E> Entry<E> {
+    fn id(&self) -> EventId {
+        EventId(self.seq)
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -88,25 +57,6 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// One calendar slot: entries kept unsorted on insert and sorted
-/// descending by `(at, seq)` on first pop (so `pop()` takes from the
-/// back). The vector stays in its ring slot when drained, retaining
-/// capacity for the next lap of the window.
-struct Bucket<E> {
-    entries: Vec<Entry<E>>,
-    /// True when an insert may have broken the descending sort.
-    dirty: bool,
-}
-
-impl<E> Default for Bucket<E> {
-    fn default() -> Self {
-        Bucket {
-            entries: Vec::new(),
-            dirty: false,
-        }
-    }
-}
-
 /// A deterministic discrete-event queue.
 ///
 /// ```
@@ -119,25 +69,16 @@ impl<E> Default for Bucket<E> {
 /// assert_eq!((t.as_mins(), ev), (5, "report"));
 /// ```
 pub struct Scheduler<E> {
-    /// Calendar ring; empty until the first in-window insert so that
-    /// short-lived schedulers (retry timers) stay allocation-free.
-    ring: Vec<Bucket<E>>,
-    /// Start of the addressable window, a multiple of `WIDTH_MS`.
-    ring_base: u64,
-    /// Ring index of the bucket holding `ring_base`.
-    cur: usize,
-    /// Physical entries in the ring, tombstones included.
-    ring_len: usize,
-    /// Events at or beyond `ring_base + BUCKETS * WIDTH_MS`.
-    overflow: BinaryHeap<Entry<E>>,
+    /// Pending events, tombstones included.
+    heap: BinaryHeap<Entry<E>>,
     now: SimTime,
     next_seq: u64,
     /// IDs scheduled and not yet popped or cancelled. `len()` is this
     /// set's size, so cancelling an already-popped ID cannot skew the
     /// count.
-    alive: std::collections::HashSet<EventId>,
-    /// Lazily-deleted IDs still sitting in the ring or overflow.
-    cancelled: std::collections::HashSet<EventId>,
+    alive: HashSet<EventId>,
+    /// Lazily-deleted IDs still sitting in the heap.
+    cancelled: HashSet<EventId>,
     /// Observability sink; `Null` by default and free when disabled.
     obs: ObsSink,
 }
@@ -152,15 +93,11 @@ impl<E> Scheduler<E> {
     /// Create an empty scheduler at time zero.
     pub fn new() -> Self {
         Scheduler {
-            ring: Vec::new(),
-            ring_base: 0,
-            cur: 0,
-            ring_len: 0,
-            overflow: BinaryHeap::new(),
+            heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            alive: std::collections::HashSet::new(),
-            cancelled: std::collections::HashSet::new(),
+            alive: HashSet::new(),
+            cancelled: HashSet::new(),
             obs: ObsSink::Null,
         }
     }
@@ -196,21 +133,6 @@ impl<E> Scheduler<E> {
         self.cancelled.len()
     }
 
-    /// End of the addressable window (exclusive).
-    fn ring_limit(&self) -> u64 {
-        self.ring_base + (BUCKETS as u64) * WIDTH_MS
-    }
-
-    /// Ring index for an in-window timestamp.
-    fn idx_for(t: u64) -> usize {
-        ((t / WIDTH_MS) as usize) % BUCKETS
-    }
-
-    /// Largest multiple of `WIDTH_MS` at or below `t`.
-    fn bucket_floor(t: u64) -> u64 {
-        t & !(WIDTH_MS - 1)
-    }
-
     /// Schedule an event at an absolute time. Scheduling in the past is a
     /// logic error and panics: discrete-event time must be monotonic.
     pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventId {
@@ -221,13 +143,11 @@ impl<E> Scheduler<E> {
             self.now
         );
         let id = EventId(self.next_seq);
-        let entry = Entry {
+        self.heap.push(Entry {
             at,
             seq: self.next_seq,
-            id,
             payload,
-        };
-        self.insert(entry);
+        });
         self.alive.insert(id);
         self.next_seq += 1;
         self.obs.incr("sched.scheduled");
@@ -237,89 +157,6 @@ impl<E> Scheduler<E> {
     /// Schedule an event `delay` after the current time.
     pub fn schedule_after(&mut self, delay: SimDuration, payload: E) -> EventId {
         self.schedule_at(self.now + delay, payload)
-    }
-
-    /// Route an entry to its bucket or the overflow heap.
-    fn insert(&mut self, entry: Entry<E>) {
-        let t = entry.at.as_millis();
-        if t < self.ring_base {
-            // A jump re-anchored the window ahead of `now`; this event
-            // is earlier than the window but still legal. Re-anchor.
-            self.rebase(t);
-        }
-        if t >= self.ring_limit() {
-            self.overflow.push(entry);
-            return;
-        }
-        if self.ring.is_empty() {
-            self.ring = (0..BUCKETS).map(|_| Bucket::default()).collect();
-        }
-        let bucket = &mut self.ring[Self::idx_for(t)];
-        bucket.entries.push(entry);
-        bucket.dirty = true;
-        self.ring_len += 1;
-    }
-
-    /// Dump the ring into the overflow and re-anchor the window at `t`,
-    /// then migrate back whatever fits. Rare (only after a jump skipped
-    /// ahead of `now`), deterministic, and O(n log n) in queue size.
-    fn rebase(&mut self, t: u64) {
-        for bucket in &mut self.ring {
-            self.overflow.extend(bucket.entries.drain(..));
-            bucket.dirty = false;
-        }
-        self.ring_len = 0;
-        self.ring_base = Self::bucket_floor(t);
-        self.cur = Self::idx_for(self.ring_base);
-        self.obs.incr("sched.rebases");
-        self.migrate();
-    }
-
-    /// Pull overflow events that now fall inside the window into their
-    /// buckets.
-    fn migrate(&mut self) {
-        let limit = self.ring_limit();
-        while let Some(head) = self.overflow.peek() {
-            if head.at.as_millis() >= limit {
-                break;
-            }
-            let entry = self.overflow.pop().expect("peeked entry exists");
-            if self.ring.is_empty() {
-                self.ring = (0..BUCKETS).map(|_| Bucket::default()).collect();
-            }
-            let bucket = &mut self.ring[Self::idx_for(entry.at.as_millis())];
-            bucket.entries.push(entry);
-            bucket.dirty = true;
-            self.ring_len += 1;
-        }
-    }
-
-    /// Position `cur` at the earliest non-empty bucket, jumping the
-    /// window across empty stretches. Returns false when the queue is
-    /// physically empty (tombstones included).
-    fn locate_front(&mut self) -> bool {
-        loop {
-            if self.ring_len == 0 {
-                if self.overflow.is_empty() {
-                    return false;
-                }
-                // Jump: re-anchor at the earliest overflow event.
-                let t = self.overflow.peek().expect("non-empty").at.as_millis();
-                self.ring_base = Self::bucket_floor(t);
-                self.cur = Self::idx_for(self.ring_base);
-                self.migrate();
-                debug_assert!(self.ring_len > 0);
-                continue;
-            }
-            if !self.ring[self.cur].entries.is_empty() {
-                return true;
-            }
-            // Step one bucket; the vacated slot becomes the top of the
-            // window, so newly-addressable overflow events migrate in.
-            self.cur = (self.cur + 1) % BUCKETS;
-            self.ring_base += WIDTH_MS;
-            self.migrate();
-        }
     }
 
     /// Cancel a pending event. Returns true if the event was still
@@ -344,21 +181,10 @@ impl<E> Scheduler<E> {
     /// queue, bounding memory for workloads that cancel most of what
     /// they schedule. O(queue) rebuild, amortised by the >=1/2 trigger.
     fn maybe_compact(&mut self) {
-        let physical = self.ring_len + self.overflow.len();
-        if self.cancelled.len() >= 64 && self.cancelled.len() * 2 >= physical {
+        if self.cancelled.len() >= 64 && self.cancelled.len() * 2 >= self.heap.len() {
             let swept = self.cancelled.len() as u64;
             let cancelled = std::mem::take(&mut self.cancelled);
-            for bucket in &mut self.ring {
-                let before = bucket.entries.len();
-                // retain preserves order, so a clean bucket stays clean.
-                bucket.entries.retain(|e| !cancelled.contains(&e.id));
-                self.ring_len -= before - bucket.entries.len();
-            }
-            let entries: Vec<Entry<E>> = std::mem::take(&mut self.overflow)
-                .into_iter()
-                .filter(|e| !cancelled.contains(&e.id))
-                .collect();
-            self.overflow = BinaryHeap::from(entries);
+            self.heap.retain(|e| !cancelled.contains(&e.id()));
             self.obs.incr("sched.compactions");
             self.obs.add("sched.tombstones_swept", swept);
             self.obs.gauge("sched.tombstones", self.now, 0);
@@ -367,13 +193,10 @@ impl<E> Scheduler<E> {
 
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let at = self.peek_time()?;
-        // peek_time left `cur` on a sorted bucket whose back entry is
-        // alive and is the global minimum.
-        let entry = self.ring[self.cur].entries.pop().expect("peeked front");
-        self.ring_len -= 1;
-        debug_assert_eq!(entry.at, at);
-        self.alive.remove(&entry.id);
+        self.peek_time()?;
+        // peek_time left an alive entry at the front.
+        let entry = self.heap.pop().expect("peeked front");
+        self.alive.remove(&entry.id());
         debug_assert!(entry.at >= self.now);
         self.now = entry.at;
         self.obs.incr("sched.dispatched");
@@ -393,24 +216,13 @@ impl<E> Scheduler<E> {
     /// Tombstones encountered on the way are swept.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         loop {
-            if !self.locate_front() {
-                return None;
+            let front = self.heap.peek()?;
+            // `contains` skips hashing while the tombstone set is empty.
+            if !self.cancelled.contains(&front.id()) {
+                return Some(front.at);
             }
-            let bucket = &mut self.ring[self.cur];
-            if bucket.dirty {
-                bucket
-                    .entries
-                    .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
-                bucket.dirty = false;
-            }
-            let front = bucket.entries.last().expect("located non-empty bucket");
-            if self.cancelled.contains(&front.id) {
-                let e = bucket.entries.pop().expect("front exists");
-                self.ring_len -= 1;
-                self.cancelled.remove(&e.id);
-                continue;
-            }
-            return Some(front.at);
+            let swept = self.heap.pop().expect("peeked front");
+            self.cancelled.remove(&swept.id());
         }
     }
 
@@ -604,12 +416,10 @@ mod tests {
         assert_eq!(s.now(), SimTime::from_hours(24));
     }
 
-    // ---- calendar-queue specific behaviour ------------------------
-
     #[test]
-    fn far_future_events_overflow_and_still_pop_in_order() {
+    fn far_future_events_pop_in_order() {
         let mut s: Scheduler<u32> = Scheduler::new();
-        // Mix of in-window (seconds) and far-future (hours) events.
+        // Mix of near (seconds) and far-future (hours) events.
         s.schedule_at(SimTime::from_hours(20), 4);
         s.schedule_at(SimTime::from_secs(2), 1);
         s.schedule_at(SimTime::from_hours(2), 3);
@@ -619,9 +429,9 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_fifo_across_window_jump() {
-        // Events at an identical far-future instant arrive via the
-        // overflow heap; the (at, seq) tie-break must survive the trip.
+    fn same_instant_fifo_at_far_future_instant() {
+        // Events at an identical far-future instant must keep the
+        // (at, seq) tie-break.
         let mut s: Scheduler<u32> = Scheduler::new();
         let t = SimTime::from_hours(5);
         for i in 0..20 {
@@ -632,14 +442,14 @@ mod tests {
     }
 
     #[test]
-    fn schedule_before_jumped_window_rebases() {
+    fn schedule_before_peeked_time_keeps_order() {
         let mut s: Scheduler<&str> = Scheduler::new();
         s.schedule_at(SimTime::from_hours(10), "far");
-        // Peeking jumps the window to the 10 h mark without moving now.
+        // Peeking reports the 10 h mark without moving now.
         assert_eq!(s.peek_time(), Some(SimTime::from_hours(10)));
         assert_eq!(s.now(), SimTime::ZERO);
-        // Scheduling at 1 min is legal (>= now) but behind the jumped
-        // window; the queue must re-anchor and keep time order.
+        // Scheduling at 1 min is legal (>= now) and earlier than the
+        // peeked front; it must pop first.
         s.schedule_at(SimTime::from_mins(1), "near");
         let (t1, e1) = s.pop().unwrap();
         assert_eq!((t1.as_mins(), e1), (1, "near"));
@@ -649,10 +459,9 @@ mod tests {
     }
 
     #[test]
-    fn interleaving_pops_and_inserts_into_active_bucket() {
-        // Retry-timer pattern: pop, then schedule within the same
-        // bucket, repeatedly. The lazily-sorted active bucket must keep
-        // FIFO/time order through dirty re-sorts.
+    fn interleaving_pops_and_inserts_keeps_order() {
+        // Retry-timer pattern: pop, then schedule a few milliseconds
+        // ahead, repeatedly. Pop times must stay monotonic.
         let mut s: Scheduler<u64> = Scheduler::new();
         s.schedule_at(SimTime::from_millis(10), 0);
         let mut popped = Vec::new();
@@ -672,13 +481,12 @@ mod tests {
     }
 
     #[test]
-    fn window_wraparound_reuses_ring_slots() {
-        // Drive the window through many laps of the ring; ordering must
-        // hold and the queue must drain completely.
+    fn long_dense_horizon_drains_in_order() {
+        // Many closely spaced events over ~166 s of simulated time;
+        // ordering must hold and the queue must drain completely.
         let mut s: Scheduler<u64> = Scheduler::new();
         let mut expected = Vec::new();
         for i in 0..500u64 {
-            // ~3 events per bucket, spanning ~25 window laps.
             let t = SimTime::from_millis(i * 333);
             s.schedule_at(t, i);
             expected.push(i);
@@ -689,7 +497,7 @@ mod tests {
     }
 
     #[test]
-    fn cancel_far_future_event_in_overflow() {
+    fn cancel_far_future_event() {
         let mut s: Scheduler<&str> = Scheduler::new();
         let far = s.schedule_at(SimTime::from_hours(9), "cancelled");
         s.schedule_at(SimTime::from_hours(8), "kept");

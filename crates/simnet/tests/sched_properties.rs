@@ -1,22 +1,20 @@
-//! Model test: the calendar/bucket scheduler against a reference
-//! priority queue.
+//! Model test: the scheduler against a reference priority queue.
 //!
-//! The scheduler used to be a single `BinaryHeap` ordered by
-//! `(at, seq)`; it is now a calendar queue (time buckets + overflow
-//! heap + lazy bucket sorts + window jump/rebase). These properties
-//! drive both implementations through the same randomized operation
-//! sequences — schedule near and far, cancel, pop, pop-until, peek,
-//! manual clock advances — and require identical observable behaviour:
-//! same pop order, same cancel results, same lengths, and the same
-//! tombstone-compaction bound.
+//! `RefQueue` is the specification: a `(at, seq)`-ordered queue with
+//! lazy cancellation, written for obviousness rather than speed. These
+//! properties drive the scheduler and the model through the same
+//! randomized operation sequences — schedule near and far, cancel,
+//! pop, pop-until, peek, manual clock advances — and require identical
+//! observable behaviour: same pop order, same cancel results, same
+//! lengths, the same tombstone-compaction bound, and `sched.*`
+//! counters that agree with the script.
 
-use phishsim_simnet::{EventId, Scheduler, SimTime};
+use phishsim_simnet::{EventId, ObsSink, Scheduler, SimTime};
 use proptest::prelude::*;
 
-/// The old implementation, reduced to its observable core: a
-/// `(at, seq)`-ordered queue with lazy cancellation. O(n) pops are
-/// fine at test sizes; what matters is that its semantics are exactly
-/// the pre-calendar-queue scheduler's.
+/// The reference semantics: a `(at, seq)`-ordered queue with lazy
+/// cancellation. O(n) pops are fine at test sizes; what matters is
+/// that every observable is obviously right.
 #[derive(Default)]
 struct RefQueue {
     /// (at_ms, seq, payload, alive)
@@ -88,9 +86,8 @@ impl RefQueue {
 /// scheduling in the past).
 #[derive(Debug, Clone)]
 enum Op {
-    /// Schedule at now + delay_ms. Small delays land in the calendar
-    /// ring, large ones in the overflow heap; zero creates same-instant
-    /// FIFO ties.
+    /// Schedule at now + delay_ms. Delays range from milliseconds to
+    /// hours; zero creates same-instant FIFO ties.
     Schedule(u64),
     /// Cancel the n-th id ever issued (may already be popped/cancelled).
     Cancel(usize),
@@ -104,8 +101,8 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // Schedule and Pop repeat so the script mixes them more often.
-    // Delay mix inside Schedule: ties, in-bucket, cross-bucket, far
-    // overflow.
+    // Delay mix inside Schedule: ties, sub-second, seconds to a
+    // minute, hours.
     prop_oneof![
         Just(0u64).prop_map(Op::Schedule),
         (1u64..2_000).prop_map(Op::Schedule),
@@ -123,14 +120,18 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 proptest! {
-    /// Every observable of the calendar queue matches the reference
-    /// model across arbitrary operation scripts.
+    /// Every observable of the scheduler matches the reference model
+    /// across arbitrary operation scripts.
     #[test]
-    fn calendar_queue_matches_reference_model(
+    fn scheduler_matches_reference_model(
         ops in proptest::collection::vec(op_strategy(), 1..300),
     ) {
-        let mut sched: Scheduler<u32> = Scheduler::new();
+        let sink = ObsSink::memory();
+        let mut sched: Scheduler<u32> = Scheduler::new().with_obs(sink.clone());
         let mut model = RefQueue::default();
+        // What the counters must read: schedule ops, cancels that
+        // returned true, and pops that returned an event.
+        let (mut scheduled, mut cancelled, mut dispatched) = (0u64, 0u64, 0u64);
         let mut ids: Vec<EventId> = Vec::new();
         let mut seqs: Vec<u64> = Vec::new();
         let mut payload = 0u32;
@@ -142,6 +143,7 @@ proptest! {
                     ids.push(sched.schedule_at(SimTime::from_millis(at), payload));
                     seqs.push(model.schedule_at(at, payload));
                     payload += 1;
+                    scheduled += 1;
                 }
                 Op::Cancel(n) => {
                     if !ids.is_empty() {
@@ -149,10 +151,12 @@ proptest! {
                         let got = sched.cancel(ids[n]);
                         let want = model.cancel(seqs[n]);
                         prop_assert_eq!(got, want, "cancel #{} disagreed", n);
+                        cancelled += u64::from(got);
                     }
                 }
                 Op::Pop => {
                     let got = sched.pop().map(|(t, e)| (t.as_millis(), e));
+                    dispatched += u64::from(got.is_some());
                     prop_assert_eq!(got, model.pop());
                 }
                 Op::PopUntil(off) => {
@@ -160,6 +164,7 @@ proptest! {
                     let got = sched
                         .pop_until(SimTime::from_millis(deadline))
                         .map(|(t, e)| (t.as_millis(), e));
+                    dispatched += u64::from(got.is_some());
                     prop_assert_eq!(got, model.pop_until(deadline));
                 }
                 Op::Peek => {
@@ -201,13 +206,19 @@ proptest! {
             if want.is_none() {
                 break;
             }
+            dispatched += 1;
         }
         prop_assert_eq!(sched.len(), 0);
         prop_assert_eq!(sched.tombstone_count(), 0);
+
+        let m = sink.metrics();
+        prop_assert_eq!(m.counter("sched.scheduled"), scheduled);
+        prop_assert_eq!(m.counter("sched.cancelled"), cancelled);
+        prop_assert_eq!(m.counter("sched.dispatched"), dispatched);
     }
 
-    /// Same-instant FIFO holds even when ties are scheduled across
-    /// window jumps, cancellations and interleaved pops.
+    /// Same-instant FIFO holds among the survivors of arbitrary
+    /// cancellations, at near and far instants alike.
     #[test]
     fn fifo_ties_survive_cancel_and_jump(
         base in 0u64..10_000_000,

@@ -41,19 +41,36 @@ for arg in "$@"; do
 done
 
 # Run a sweep binary at two thread counts and require byte-identical
-# records: smoke NAME RECORD THREADS_A THREADS_B BIN [ARGS...]
+# records: smoke [--pack PACK] NAME RECORD THREADS_A THREADS_B BIN [ARGS...]
+# With --pack, the bin also rewrites PACK on every run, and the second
+# run must reproduce its bytes too.
 smoke() {
+  local pack=""
+  if [ "$1" = "--pack" ]; then
+    pack="$2"
+    shift 2
+  fi
   local name="$1" record="$2" ta="$3" tb="$4"
   shift 4
   PHISHSIM_SWEEP_THREADS="$ta" cargo run --release -p phishsim-bench --bin "$@"
   cp "$record" "$record.t$ta"
+  [ -n "$pack" ] && cp "$pack" "$pack.t$ta"
   PHISHSIM_SWEEP_THREADS="$tb" cargo run --release -p phishsim-bench --bin "$@"
   if ! diff -q "$record.t$ta" "$record"; then
     echo "$name record differs between $ta and $tb threads" >&2
     exit 1
   fi
   rm -f "$record.t$ta"
-  echo "$name record byte-identical across thread counts"
+  if [ -n "$pack" ]; then
+    if ! cmp -s "$pack.t$ta" "$pack"; then
+      echo "$name pack differs between $ta and $tb threads" >&2
+      exit 1
+    fi
+    rm -f "$pack.t$ta"
+    echo "$name record and pack byte-identical across thread counts"
+  else
+    echo "$name record byte-identical across thread counts"
+  fi
 }
 
 tier1() {
@@ -94,64 +111,24 @@ determinism() {
 
   echo "==> sb_scale_50m determinism smoke (fast cohort sweep, 1 vs 8 threads)"
   # Cohort compression, the mirror tier, and the exact-baseline guard
-  # must all be thread-invariant; the bin also rewrites the pack, so
-  # pin both artifacts like the fleet smokes do.
-  PHISHSIM_SWEEP_THREADS=1 cargo run --release -p phishsim-bench --bin sb_scale_50m -- fast
-  cp results/sb_scale_50m.json results/.sb_scale_50m.t1.json
-  cp results/sb_scale_50m.runpack results/.sb_scale_50m.t1.runpack
-  PHISHSIM_SWEEP_THREADS=8 cargo run --release -p phishsim-bench --bin sb_scale_50m -- fast
-  if ! diff -q results/.sb_scale_50m.t1.json results/sb_scale_50m.json; then
-    echo "sb_scale_50m record differs between 1 and 8 threads" >&2
-    exit 1
-  fi
-  if ! cmp -s results/.sb_scale_50m.t1.runpack results/sb_scale_50m.runpack; then
-    echo "sb_scale_50m pack differs between 1 and 8 threads" >&2
-    exit 1
-  fi
-  rm -f results/.sb_scale_50m.t1.json results/.sb_scale_50m.t1.runpack
-  echo "sb_scale_50m record and pack byte-identical across thread counts"
+  # must all be thread-invariant, record and pack alike.
+  smoke --pack results/sb_scale_50m.runpack sb_scale_50m results/sb_scale_50m.json 1 8 \
+    sb_scale_50m -- fast
 
   echo "==> obs_report determinism smoke (full volume, 1 vs 8 threads)"
   smoke obs_report results/obs_report.json 1 8 obs_report
 
   echo "==> fleet_sweep determinism smoke (fast stream, 1 vs 8 threads)"
-  # The fleet bin also rewrites results/fleet_sweep.runpack on every
-  # run; pin the 1-thread pack bytes and require the 8-thread rerun to
-  # reproduce them too.
-  PHISHSIM_SWEEP_THREADS=1 cargo run --release -p phishsim-bench --bin fleet_sweep -- fast
-  cp results/fleet_sweep.json results/.fleet_sweep.t1.json
-  cp results/fleet_sweep.runpack results/.fleet_sweep.t1.runpack
-  PHISHSIM_SWEEP_THREADS=8 cargo run --release -p phishsim-bench --bin fleet_sweep -- fast
-  if ! diff -q results/.fleet_sweep.t1.json results/fleet_sweep.json; then
-    echo "fleet_sweep record differs between 1 and 8 threads" >&2
-    exit 1
-  fi
-  if ! cmp -s results/.fleet_sweep.t1.runpack results/fleet_sweep.runpack; then
-    echo "fleet_sweep pack differs between 1 and 8 threads" >&2
-    exit 1
-  fi
-  rm -f results/.fleet_sweep.t1.json results/.fleet_sweep.t1.runpack
-  echo "fleet_sweep record and pack byte-identical across thread counts"
+  smoke --pack results/fleet_sweep.runpack fleet_sweep results/fleet_sweep.json 1 8 \
+    fleet_sweep -- fast
 
   echo "==> fleet_chaos determinism smoke (fast sweep, 1 vs 8 threads)"
   # Worker-chaos sweep: crash/hang/restart fault plans and supervised
   # recovery must be just as thread-invariant as the fault-free fleet.
   # The bin asserts its own floors (zero lost reports, >=90% throughput
   # retention at 1% crash rate) on every run.
-  PHISHSIM_SWEEP_THREADS=1 cargo run --release -p phishsim-bench --bin fleet_chaos -- fast
-  cp results/fleet_chaos.json results/.fleet_chaos.t1.json
-  cp results/fleet_chaos.runpack results/.fleet_chaos.t1.runpack
-  PHISHSIM_SWEEP_THREADS=8 cargo run --release -p phishsim-bench --bin fleet_chaos -- fast
-  if ! diff -q results/.fleet_chaos.t1.json results/fleet_chaos.json; then
-    echo "fleet_chaos record differs between 1 and 8 threads" >&2
-    exit 1
-  fi
-  if ! cmp -s results/.fleet_chaos.t1.runpack results/fleet_chaos.runpack; then
-    echo "fleet_chaos pack differs between 1 and 8 threads" >&2
-    exit 1
-  fi
-  rm -f results/.fleet_chaos.t1.json results/.fleet_chaos.t1.runpack
-  echo "fleet_chaos record and pack byte-identical across thread counts"
+  smoke --pack results/fleet_chaos.runpack fleet_chaos results/fleet_chaos.json 1 8 \
+    fleet_chaos -- fast
 }
 
 replay() {

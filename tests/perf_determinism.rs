@@ -1,7 +1,7 @@
 //! The performance machinery must never change results.
 //!
-//! Four invariants guard the sweep runner, the allocator, and the
-//! render/verdict caches:
+//! Three invariants guard the sweep runner and the render/verdict
+//! caches:
 //!
 //! 1. **Thread-count invariance** — a `run_sweep` over N configs
 //!    returns byte-identical JSON whether it ran on 1 thread or many
@@ -9,10 +9,7 @@
 //! 2. **Cache transparency** — a fixed seed regenerates byte-identical
 //!    tables with `PHISHSIM_RENDER_CACHE` off and on (memoization
 //!    reuses work, never changes it).
-//! 3. **Arena transparency** — `PHISHSIM_ARENA` off and on produce
-//!    byte-identical sweeps at any thread count (bump allocation
-//!    changes where events live, never what they compute).
-//! 4. **Shared-cache transparency** — `PHISHSIM_SHARED_CACHE` off and
+//! 3. **Shared-cache transparency** — `PHISHSIM_SHARED_CACHE` off and
 //!    on, and the sweep-level frozen tier, produce byte-identical
 //!    sweeps at any thread count.
 //!
@@ -26,7 +23,7 @@ use phishsim::experiment::{
 };
 use phishsim::feedserve::PopulationConfig;
 use phishsim::simnet::{MetricsRegistry, ObsSink, SimDuration};
-use phishsim_core::runner::run_sweep_with_threads;
+use phishsim_simnet::runner::run_sweep_with_threads;
 
 /// One sweep cell: a seeded fast main-experiment run, serialized the
 /// way the sweep binaries write their JSON records.
@@ -132,24 +129,6 @@ fn merged_metrics_registry_is_byte_identical_across_thread_counts() {
     let serial = merged_json(1);
     assert_eq!(serial, merged_json(4), "1 vs 4 threads");
     assert_eq!(serial, merged_json(16), "1 vs 16 (oversubscribed) threads");
-}
-
-#[test]
-fn sweep_is_byte_identical_with_arena_off_and_on_at_1_and_8_threads() {
-    // The cross product {arena off, arena on} × {1 thread, 8 threads}
-    // must collapse to a single byte string. As with the cache test,
-    // equality under every setting is exactly what is asserted, so the
-    // env flips cannot disturb concurrently running tests.
-    let seeds: Vec<u64> = (40..44).collect();
-    std::env::set_var("PHISHSIM_ARENA", "0");
-    let off_1 = run_sweep_with_threads(&seeds, 1, sweep_cell);
-    let off_8 = run_sweep_with_threads(&seeds, 8, sweep_cell);
-    std::env::set_var("PHISHSIM_ARENA", "1");
-    let on_1 = run_sweep_with_threads(&seeds, 1, sweep_cell);
-    let on_8 = run_sweep_with_threads(&seeds, 8, sweep_cell);
-    assert_eq!(off_1, off_8, "arena off: 1 vs 8 threads");
-    assert_eq!(on_1, on_8, "arena on: 1 vs 8 threads");
-    assert_eq!(off_1, on_1, "arena off vs on");
 }
 
 #[test]
